@@ -8,11 +8,9 @@ capacity in entries and/or bytes with LRU, LFU, or cost-aware eviction
 byte, see :class:`repro.storage.evictor.CostFrequencyEvictor`), and
 optional TTL expiry against the simulated clock.
 
-With a :class:`~repro.storage.backend.StorageBackend` attached, every
-mutation writes through to the backend's ``"cim"`` store (memory stays
-the authoritative read path — lookups never touch the backend), and
-:meth:`load_from_backend` restores a previous session's entries for warm
-restart.
+The cache holds no storage backend: :mod:`repro.cim.persistence`
+snapshots its entries into one at flush, and :meth:`restore` re-inserts
+a previous session's entries for warm restart.
 
 All public operations take an internal re-entrant lock: the parallel
 runtime's workers hit one shared cache concurrently, and the two indexes
@@ -24,15 +22,15 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 from repro.core.model import GroundCall
 from repro.core.terms import Value, value_bytes
-from repro.errors import CacheError, StorageError
+from repro.errors import CacheError
 
 if TYPE_CHECKING:
+    from repro.cim.persistence import CacheRecord
     from repro.metrics import MetricsRegistry
-    from repro.storage.backend import StorageBackend
     from repro.storage.evictor import CostFrequencyEvictor
 
 POLICY_LRU = "lru"
@@ -83,8 +81,6 @@ class ResultCache:
         policy: str = POLICY_LRU,
         ttl_ms: Optional[float] = None,
         evictor: "Optional[CostFrequencyEvictor]" = None,
-        backend: "Optional[StorageBackend]" = None,
-        store: str = "cim",
         metrics: "Optional[MetricsRegistry]" = None,
     ):
         if policy not in (POLICY_LRU, POLICY_LFU, POLICY_COST):
@@ -102,15 +98,7 @@ class ResultCache:
 
             evictor = CostFrequencyEvictor()
         self.evictor = evictor
-        self.backend = backend
-        self.store = store
         self.metrics = metrics
-        # suppressed while load_from_backend re-inserts restored entries
-        self._mirror = True
-        # calls whose backend delete was suppressed by _mirror=False;
-        # load_from_backend settles these so capacity evictions during a
-        # load don't leave dead records accumulating in the backend
-        self._deferred_deletes: list[GroundCall] = []
         self.stats = CacheStats()
         # entries dropped by source-change notifications, itemized for the
         # per-tier cache summary (TTL drops are stats.expirations and
@@ -203,7 +191,6 @@ class ResultCache:
             self._by_function.setdefault((call.domain, call.function), {})[call] = entry
             self._total_bytes += answer_bytes
             self.stats.insertions += 1
-            self._backend_put(entry)
             self._evict(now_ms, protect=call)
             return entry
 
@@ -247,9 +234,6 @@ class ResultCache:
 
     def clear(self) -> None:
         with self._lock:
-            if self.backend is not None and self._mirror:
-                for key, __ in list(self.backend.scan_prefix(self.store, "")):
-                    self.backend.delete(self.store, key)
             self._entries.clear()
             self._by_function.clear()
             self._stale.clear()
@@ -285,105 +269,29 @@ class ResultCache:
     def total_bytes(self) -> int:
         return self._total_bytes
 
-    # -- storage backend (persistence) ---------------------------------------------
+    # -- warm restart ----------------------------------------------------------------
 
-    def attach_backend(
-        self,
-        backend: "StorageBackend",
-        store: str = "cim",
-        metrics: "Optional[MetricsRegistry]" = None,
-    ) -> None:
-        """Start mirroring mutations into ``backend`` (from now on)."""
-        with self._lock:
-            self.backend = backend
-            self.store = store
-            if metrics is not None:
-                self.metrics = metrics
+    def restore(self, records: "Iterable[CacheRecord]", now_ms: float = 0.0) -> int:
+        """Re-insert a previous session's entries; returns the count.
 
-    def load_from_backend(self, now_ms: float = 0.0) -> int:
-        """Warm restart: re-insert every entry persisted in the backend.
-
-        Entries go through the normal ``put`` path (capacity limits and
-        eviction apply) with backend mirroring suspended, so a load never
-        rewrites what it reads; entries *evicted* during the load are
-        deleted from the backend afterwards (their records would
-        otherwise be re-read, re-decoded, and re-evicted on every warm
-        start, growing the store without bound).  Stored timestamps are
-        clamped to ``now_ms`` — the restarted clock starts over, and a
-        ``stored_at_ms`` in the new clock's future would never satisfy
-        TTL expiry.  Records that fail to decode are dropped from the
-        backend rather than replayed.  Returns the number of entries
-        restored.
+        Records go through the normal ``put`` path, so this cache's
+        capacity limits and eviction policy apply.  Stored timestamps
+        are clamped to ``now_ms``: the restarted clock starts over, and
+        a ``stored_at_ms`` in the new clock's future would never satisfy
+        TTL expiry.
         """
-        if self.backend is None:
-            raise StorageError("no storage backend attached")
-        from repro.cim.codec import decode_entry
-
-        records = list(self.backend.scan_prefix(self.store, ""))
         count = 0
         with self._lock:
-            self._mirror = False
-            try:
-                for key, data in records:
-                    try:
-                        fields = decode_entry(data)
-                    except Exception:
-                        self.backend.delete(self.store, key)
-                        continue
-                    entry = self.put(
-                        fields["call"],
-                        fields["answers"],
-                        now_ms=min(fields["stored_at_ms"], now_ms),
-                        complete=fields["complete"],
-                    )
-                    entry.hits = fields["hits"]
-                    count += 1
-            finally:
-                self._mirror = True
-                deferred, self._deferred_deletes = self._deferred_deletes, []
-                for call in deferred:
-                    if call not in self._entries:
-                        self._backend_delete(call)
+            for record in records:
+                entry = self.put(
+                    record.call,
+                    record.answers,
+                    now_ms=min(record.stored_at_ms, now_ms),
+                    complete=record.complete,
+                )
+                entry.hits = record.hits
+                count += 1
         return count
-
-    def sync_backend(self) -> int:
-        """Re-write every live entry to the backend (captures hit counts
-        accumulated since the entries were first mirrored); returns the
-        number written.  Call before :meth:`StorageBackend.flush`."""
-        if self.backend is None:
-            return 0
-        with self._lock:
-            entries = list(self._entries.values())
-            for entry in entries:
-                self._backend_put(entry)
-        return len(entries)
-
-    def _backend_put(self, entry: CacheEntry) -> None:
-        if self.backend is None or not self._mirror:
-            return
-        from repro.cim.codec import call_key, encode_entry
-
-        self.backend.put(
-            self.store,
-            call_key(entry.call),
-            encode_entry(
-                entry.call,
-                entry.answers,
-                entry.complete,
-                entry.stored_at_ms,
-                entry.hits,
-            ),
-        )
-
-    def _backend_delete(self, call: GroundCall) -> None:
-        if self.backend is None:
-            return
-        if not self._mirror:
-            self._deferred_deletes.append(call)
-            return
-        from repro.cim.codec import call_key
-
-        self.backend.delete(self.store, call_key(call))
 
     # -- internals -----------------------------------------------------------------
 
@@ -406,7 +314,6 @@ class ResultCache:
             bucket.pop(call, None)
             if not bucket:
                 del self._by_function[key]
-        self._backend_delete(call)
 
     def _evict(self, now_ms: float, protect: Optional[GroundCall] = None) -> None:
         def over_capacity() -> bool:

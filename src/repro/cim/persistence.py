@@ -1,74 +1,131 @@
-"""Persistence of the CIM result cache.
+"""Persistence of the CIM result cache: its record codec and the
+snapshot/restore pair the mediator's flush and warm start use.
 
 A warm cache is valuable across mediator sessions (the paper's whole
-point is that source calls are expensive); this module snapshots cache
-entries to versioned JSON and restores them.  Eviction configuration is
-not persisted — it belongs to the cache you load into.
+point is that source calls are expensive).  :func:`save_result_cache`
+replaces the backend's ``"cim"`` store with the cache's live entries;
+:func:`load_result_records` reads them back for
+:meth:`~repro.cim.cache.ResultCache.restore`.  Eviction configuration is
+not persisted — it belongs to the cache you restore into.
 
-Snapshots are written with the temp-file + ``os.replace`` discipline
-(:func:`repro.storage.backend.atomic_write_bytes`): a crash mid-write
-leaves the previous snapshot intact instead of a torn file.
-
-For continuous (per-mutation) persistence and warm restart, attach a
-storage backend to the cache instead — see :mod:`repro.storage`.
+One cache entry becomes one backend record under the key
+``"{domain}:{function}:{json(args)}"`` — the ``domain:function`` lead
+is the sharding prefix (:func:`repro.storage.backend.shard_prefix`), the
+JSON-encoded argument vector makes the key exact and stable.  Values are
+versioned JSON so a format change is detected, not mis-read.
 """
 
 from __future__ import annotations
 
 import json
-from pathlib import Path
-from typing import Union
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from repro.cim.cache import ResultCache
-from repro.errors import ReproError
-from repro.serialization import decode_call, decode_value, encode_call, encode_value
-from repro.storage.backend import atomic_write_bytes
+from repro.core.model import GroundCall
+from repro.core.terms import Value
+from repro.errors import ReproError, StorageError
+from repro.serialization import decode_value, encode_value
+from repro.storage.backend import STORE_CIM
 
-FORMAT_VERSION = 1
+if TYPE_CHECKING:
+    from repro.cim.cache import ResultCache
+    from repro.storage.backend import StorageBackend
+
+ENTRY_VERSION = 1
 
 
-def save_cache(cache: ResultCache, path: Union[str, Path]) -> int:
-    """Snapshot every live entry (atomically); returns the count written."""
-    entries = []
-    for entry in cache:
-        entries.append(
-            {
-                "call": encode_call(entry.call),
-                "answers": [encode_value(a) for a in entry.answers],
-                "complete": entry.complete,
-                "stored_at_ms": entry.stored_at_ms,
-                "hits": entry.hits,
-            }
+@dataclass(frozen=True)
+class CacheRecord:
+    """One persisted cache entry, decoded."""
+
+    call: GroundCall
+    answers: tuple[Value, ...]
+    complete: bool
+    stored_at_ms: float
+    hits: int
+
+
+def call_key(call: GroundCall) -> str:
+    """The backend key of one ground call (deterministic, exact)."""
+    args = json.dumps(
+        [encode_value(arg) for arg in call.args],
+        separators=(",", ":"),
+        ensure_ascii=False,
+    )
+    return f"{call.domain}:{call.function}:{args}"
+
+
+def encode_entry(
+    call: GroundCall,
+    answers: tuple[Value, ...],
+    complete: bool,
+    stored_at_ms: float,
+    hits: int,
+) -> bytes:
+    payload = {
+        "version": ENTRY_VERSION,
+        "domain": call.domain,
+        "function": call.function,
+        "args": [encode_value(arg) for arg in call.args],
+        "answers": [encode_value(answer) for answer in answers],
+        "complete": complete,
+        "stored_at_ms": stored_at_ms,
+        "hits": hits,
+    }
+    return json.dumps(payload, separators=(",", ":")).encode("utf-8")
+
+
+def decode_entry(data: bytes) -> CacheRecord:
+    """Inverse of :func:`encode_entry`; raises on unknown versions."""
+    payload = json.loads(data)
+    if payload.get("version") != ENTRY_VERSION:
+        raise StorageError(
+            f"unsupported CIM entry version {payload.get('version')!r}"
         )
-    payload = {"version": FORMAT_VERSION, "entries": entries}
-    atomic_write_bytes(path, json.dumps(payload).encode("utf-8"))
-    return len(entries)
+    return CacheRecord(
+        call=GroundCall(
+            payload["domain"],
+            payload["function"],
+            tuple(decode_value(arg) for arg in payload["args"]),
+        ),
+        answers=tuple(decode_value(answer) for answer in payload["answers"]),
+        complete=bool(payload["complete"]),
+        stored_at_ms=float(payload["stored_at_ms"]),
+        hits=int(payload["hits"]),
+    )
 
 
-def load_cache(
-    cache: ResultCache, path: Union[str, Path], now_ms: float = 0.0
-) -> int:
-    """Load entries from ``path`` into ``cache``; returns the count.
-
-    Entries are re-inserted through the normal ``put`` path, so the
-    receiving cache's capacity limits and eviction policy apply.
-    ``stored_at_ms`` is preserved (TTL caches may immediately expire very
-    old entries — that is the point of a TTL).
-    """
-    with open(path) as handle:
-        payload = json.load(handle)
-    if payload.get("version") != FORMAT_VERSION:
-        raise ReproError(
-            f"unsupported cache format version {payload.get('version')!r}"
-        )
+def save_result_cache(cache: "ResultCache", backend: "StorageBackend") -> int:
+    """Replace the backend's CIM store with the cache's live entries
+    (hit counts included); returns the number written.  Entries dropped
+    since the last save are gone from the store afterwards."""
+    for key, __ in list(backend.scan_prefix(STORE_CIM, "")):
+        backend.delete(STORE_CIM, key)
     count = 0
-    for item in payload["entries"]:
-        entry = cache.put(
-            decode_call(item["call"]),
-            tuple(decode_value(a) for a in item["answers"]),
-            now_ms=item["stored_at_ms"],
-            complete=item["complete"],
+    for entry in cache:
+        backend.put(
+            STORE_CIM,
+            call_key(entry.call),
+            encode_entry(
+                entry.call,
+                entry.answers,
+                entry.complete,
+                entry.stored_at_ms,
+                entry.hits,
+            ),
         )
-        entry.hits = item.get("hits", 0)
         count += 1
     return count
+
+
+def load_result_records(backend: "StorageBackend") -> list[CacheRecord]:
+    """Every decodable record in the backend's CIM store.  Undecodable
+    records are skipped: the next save replaces the store without
+    them."""
+    records: list[CacheRecord] = []
+    for __, data in backend.scan_prefix(STORE_CIM, ""):
+        try:
+            records.append(decode_entry(data))
+        except (AttributeError, KeyError, TypeError, ValueError, ReproError):
+            continue
+    return records

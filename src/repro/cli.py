@@ -18,8 +18,8 @@ Commands (everything else is parsed as a rule or a query):
     :stats                    DCSM / CIM / planner / runtime / health counters
     :health                   per-source breaker state, error rate, latency quantiles
     :metrics                  the shared metrics registry (counters/histograms)
-    :save-stats FILE          persist DCSM statistics
-    :load-stats FILE          restore DCSM statistics
+    :save-stats FILE          save DCSM statistics to the SQLite file FILE
+    :load-stats FILE          add the DCSM statistics saved in FILE
     :domains                  registered domains and their functions
     :help                     this text
     :quit                     leave
@@ -43,11 +43,12 @@ N`` runs the queries on the parallel execution engine with N workers
 (see ``docs/RUNTIME.md``), so the report includes the ``runtime.*``
 scheduler counters.  ``--health`` turns on source-health tracking
 (circuit breakers + latency windows, ``docs/HEALTH.md``) and adds a
-per-source health table to the report.  ``--storage SPEC`` mirrors the
-caches through a persistent backend (``sqlite:PATH``, ``sharded:DIR``,
-see ``docs/STORAGE.md``) and flushes it before the report; with
-``--warm-start`` the previous run's cached results, statistics, and plan
-templates are reloaded first.
+per-source health table to the report.  ``--storage SPEC`` gives the
+caches a persistent backend (``sqlite:PATH``, ``sharded:DIR``, see
+``docs/STORAGE.md``); each cache tier snapshots into it before the
+report.  With ``--warm-start`` the previous run's cached results,
+statistics, and plan templates are reloaded first.  Without
+``--storage`` (or ``$REPRO_STORAGE``) nothing is persisted.
 
 ::
 
@@ -89,12 +90,18 @@ observable) and prints the throughput/latency report.
 
 from __future__ import annotations
 
+import os
+import sqlite3
 import sys
+from pathlib import Path
 from typing import IO, Optional
 
 from repro.core.explain import explain, explain_last_execution
 from repro.core.mediator import Mediator
+from repro.dcsm.persistence import load_observations, save_observations
 from repro.errors import ReproError
+from repro.report import storage_kind
+from repro.storage.sqlite import SqliteBackend
 
 _HELP = __doc__.split("Commands", 1)[1]
 
@@ -256,14 +263,18 @@ class MediatorShell:
         elif command == ":metrics":
             self.write(self.mediator.metrics.render())
         elif command == ":save-stats":
-            from repro.dcsm.persistence import save_statistics
-
-            count = save_statistics(self.mediator.dcsm, argument)
+            backend = _stats_backend(argument, create=True)
+            try:
+                count = save_observations(self.mediator.dcsm, backend)
+            finally:
+                backend.close()
             self.write(f"saved {count} observations to {argument}")
         elif command == ":load-stats":
-            from repro.dcsm.persistence import load_statistics
-
-            count = load_statistics(self.mediator.dcsm, argument)
+            backend = _stats_backend(argument, create=False)
+            try:
+                count = self.mediator.dcsm.restore(load_observations(backend))
+            finally:
+                backend.close()
             self.write(f"loaded {count} observations from {argument}")
         elif command == ":domains":
             for endpoint in self.mediator.registry:
@@ -357,11 +368,47 @@ def _cache_summary(mediator: Mediator) -> str:
     return "cache tiers:\n" + "\n".join((cim_line, plan_line, sub_line))
 
 
+def _stats_backend(path: str, create: bool) -> SqliteBackend:
+    """The SQLite file behind ``:save-stats`` / ``:load-stats``."""
+    if not path:
+        raise ReproError("a statistics file path is required")
+    if not create:
+        if not os.path.exists(path):
+            raise ReproError(f"no statistics file {path!r}")
+        # look before opening for real: SqliteBackend creates its table
+        # and switches the file to WAL, which a load must not do to a
+        # database that is not a statistics store
+        if not _has_kv_table(path):
+            raise ReproError(f"{path} is not a statistics file")
+    try:
+        return SqliteBackend(path)
+    except sqlite3.DatabaseError as exc:
+        raise ReproError(f"{path} is not a statistics file: {exc}") from None
+
+
+def _has_kv_table(path: str) -> bool:
+    """True when the file at ``path`` is a SQLite database holding the
+    storage backend's ``kv`` table; the file is opened read-only."""
+    try:
+        probe = sqlite3.connect(f"{Path(path).resolve().as_uri()}?mode=ro", uri=True)
+    except sqlite3.Error:
+        return False
+    try:
+        row = probe.execute(
+            "SELECT 1 FROM sqlite_master WHERE type = 'table' AND name = 'kv'"
+        ).fetchone()
+    except sqlite3.DatabaseError:
+        return False
+    finally:
+        probe.close()
+    return row is not None
+
+
 def _storage_summary(mediator: Mediator) -> str:
     """One-line cache-storage report: backend kind, traffic, warm start."""
     metrics = mediator.metrics
     return (
-        f"storage: {mediator.storage.kind} backend, "
+        f"storage: {storage_kind(mediator)} backend, "
         f"{metrics.value('storage.writes'):.0f} writes / "
         f"{metrics.value('storage.reads'):.0f} reads, "
         f"{metrics.value('storage.bytes_written'):.0f} bytes written, "
@@ -420,8 +467,8 @@ def stats_main(argv: list[str], stdout: Optional[IO[str]] = None) -> int:
     site under the default retry policy, ``--jobs N`` executes on the
     parallel engine with N workers, ``--health`` enables source-health
     tracking (breaker state, error rate, latency quantiles), ``--storage
-    SPEC`` mirrors the caches through a persistent backend (flushed
-    before the report), ``--warm-start`` reloads the previous run's
+    SPEC`` gives the caches a persistent backend (each tier snapshots
+    into it before the report), ``--warm-start`` reloads the previous run's
     persisted cache state first, and the remaining arguments run in
     order: ``?- ...`` strings execute as queries, anything else loads as
     a program file.

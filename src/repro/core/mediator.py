@@ -38,6 +38,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Union
 from repro.cancellation import CancellationToken
 from repro.cim.cache import POLICY_COST, ResultCache
 from repro.cim.manager import CacheInvariantManager, CimPolicy
+from repro.cim.persistence import load_result_records, save_result_cache
 from repro.core.answers import QueryResult
 from repro.core.estimator import PlanEstimate, RuleCostEstimator
 from repro.core.executor import ContinueCallback, Executor, MODE_ALL, MODE_INTERACTIVE
@@ -65,9 +66,10 @@ from repro.core.subplan import (
     save_subplan_cache,
 )
 from repro.dcsm.module import DCSM
+from repro.dcsm.persistence import load_observations, save_observations
 from repro.domains.base import Domain
 from repro.domains.registry import DomainRegistry
-from repro.errors import EstimationError, PlanningError, ReproError
+from repro.errors import EstimationError, PlanningError, ReproError, StorageError
 from repro.metrics import MetricsRegistry
 from repro.net.clock import SimClock
 from repro.net.faults import FaultInjector, FaultSpec
@@ -87,8 +89,9 @@ if TYPE_CHECKING:
 #: use_cim values: route nothing, everything, or a chosen set of domains.
 CimRouting = Union[bool, set, frozenset, None]
 
-#: what ``storage=`` accepts: nothing (environment/default), a spec
-#: string for :func:`~repro.storage.backend.make_backend`, or a backend.
+#: what ``storage=`` accepts: nothing (``$REPRO_STORAGE``, else no
+#: backend), a spec string for :func:`~repro.storage.backend.make_backend`,
+#: or a backend.
 StorageSpec = Union[None, str, StorageBackend]
 
 #: distinguishes the storage paths of mediators created in one process
@@ -180,20 +183,23 @@ class Mediator:
         # whole picture; components passed in with their own registry keep it
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.retry_policy = retry_policy
-        # persistent cache storage: every cache keeps memory authoritative
-        # and mirrors durable state through one backend (repro.storage).
-        # storage=None consults $REPRO_STORAGE (the CI backend matrix)
-        # before falling back to the in-process MemoryBackend.
+        # persistent cache storage: memory is authoritative, and each cache
+        # tier snapshots into the backend at flush (repro.storage).
+        # storage=None consults $REPRO_STORAGE (the CI backend matrix);
+        # without it the mediator has no backend at all.
         if storage is None:
-            storage = os.environ.get("REPRO_STORAGE") or "memory"
+            storage = os.environ.get("REPRO_STORAGE") or None
+        self.storage: Optional[StorageBackend] = None
         if isinstance(storage, str):
-            self.storage: StorageBackend = make_backend(
+            self.storage = make_backend(
                 _expand_storage_spec(storage), metrics=self.metrics
             )
-        else:
+        elif storage is not None:
             self.storage = storage
             if getattr(self.storage, "metrics", None) is None:
                 self.storage.metrics = self.metrics  # type: ignore[misc]
+        if warm_start and self.storage is None:
+            raise StorageError("warm_start=True needs a storage backend")
         self.warm_start = warm_start
         self.cache_max_bytes = cache_max_bytes
         # plan templates read back from the backend, waiting for a
@@ -217,8 +223,6 @@ class Mediator:
         )
         if self.dcsm.metrics is None:
             self.dcsm.metrics = self.metrics
-        if self.dcsm.database.backend is None:
-            self.dcsm.attach_backend(self.storage)
         if cim is not None:
             self.cim = cim
         else:
@@ -233,11 +237,10 @@ class Mediator:
                     max_bytes=cache_max_bytes,
                     policy=POLICY_COST,
                     evictor=CostFrequencyEvictor(self._estimate_recompute_cost),
-                    backend=self.storage,
                     metrics=self.metrics,
                 )
             else:
-                result_cache = ResultCache(backend=self.storage, metrics=self.metrics)
+                result_cache = ResultCache(metrics=self.metrics)
             self.cim = CacheInvariantManager(
                 self.registry,
                 self.clock,
@@ -248,8 +251,8 @@ class Mediator:
             )
         if self.cim.metrics is None:
             self.cim.metrics = self.metrics
-        if self.cim.cache.backend is None:
-            self.cim.cache.attach_backend(self.storage, metrics=self.metrics)
+        if self.cim.cache.metrics is None:
+            self.cim.cache.metrics = self.metrics
         self.program = Program()
         self.rewriter_config = (
             rewriter_config if rewriter_config is not None else RewriterConfig()
@@ -346,8 +349,11 @@ class Mediator:
         :meth:`_adopt_persisted_plans`); the rest are dropped at the next
         :meth:`flush_storage`, never replayed.
         """
-        cim_loaded = self.cim.cache.load_from_backend(now_ms=self.clock.now_ms)
-        dcsm_loaded = self.dcsm.load_from_backend()
+        assert self.storage is not None
+        cim_loaded = self.cim.cache.restore(
+            load_result_records(self.storage), now_ms=self.clock.now_ms
+        )
+        dcsm_loaded = self.dcsm.restore(load_observations(self.storage))
         self._pending_plans = load_plan_records(self.storage)
         self._pending_subplans = load_subplan_records(self.storage)
         self.metrics.inc("storage.warm_start.cim_entries", float(cim_loaded))
@@ -435,15 +441,18 @@ class Mediator:
                 self.metrics.inc("storage.warm_start.entries_loaded", float(adopted))
 
     def flush_storage(self) -> None:
-        """Make the mirrored cache state durable.
+        """Snapshot every cache tier into the backend and make it durable.
 
-        CIM entries re-sync (capturing hit counts accumulated since they
-        were first mirrored), the plan cache snapshots wholesale under
-        the current program fingerprint — skipping lazily-invalidated
-        entries whose epoch or DCSM version is stale, which must not
-        masquerade as current-program plans on the next warm start —
-        and the backend flushes crash-consistently.  Staged warm-start
-        plans that no program claimed are dropped here.
+        Each tier replaces its own store wholesale: the CIM entries
+        (with their hit counts), the DCSM observation log, and — under
+        the current program fingerprint — the plan and subplan caches,
+        skipping lazily-invalidated entries whose epoch or DCSM version
+        is stale, which must not masquerade as current-program plans on
+        the next warm start.  The backend then flushes
+        crash-consistently.  Staged warm-start plans that no program
+        claimed are dropped here.  Without a backend nothing is written.
+        If a tier's save raises, the backend rolls back to the previous
+        flush before the error propagates.
 
         Raises :class:`~repro.errors.ReproError` after :meth:`close` —
         the backend is gone, and silently "flushing" nowhere would let
@@ -454,22 +463,15 @@ class Mediator:
         self._flush_storage()
 
     def _flush_storage(self) -> None:
-        self.cim.cache.sync_backend()
-        if self.use_plan_cache:
-            save_plan_cache(
-                self.plan_cache,
-                self.storage,
-                self._program_fingerprint(),
-                epoch=self._plan_epoch,
-                dcsm_version=self.dcsm.version,
-            )
-        if self.use_subplan_cache:
-            save_subplan_cache(
-                self.subplan_cache,
-                self.storage,
-                self._program_fingerprint(),
-                dcsm_version=self.dcsm.version,
-            )
+        if self.storage is None:
+            return
+        try:
+            self._save_tiers(self.storage)
+        except BaseException:
+            # a snapshot that failed partway (or was interrupted) must not
+            # reach disk through a later flush or close
+            self.storage.rollback()
+            raise
         if self._pending_plans:
             self.metrics.inc(
                 "storage.warm_start.plans_dropped", float(len(self._pending_plans))
@@ -483,6 +485,25 @@ class Mediator:
             self._pending_subplans = []
         self.storage.flush()
 
+    def _save_tiers(self, storage: StorageBackend) -> None:
+        save_result_cache(self.cim.cache, storage)
+        save_observations(self.dcsm, storage)
+        if self.use_plan_cache:
+            save_plan_cache(
+                self.plan_cache,
+                storage,
+                self._program_fingerprint(),
+                epoch=self._plan_epoch,
+                dcsm_version=self.dcsm.version,
+            )
+        if self.use_subplan_cache:
+            save_subplan_cache(
+                self.subplan_cache,
+                storage,
+                self._program_fingerprint(),
+                dcsm_version=self.dcsm.version,
+            )
+
     @property
     def closed(self) -> bool:
         """True once :meth:`close` has run (storage detached)."""
@@ -491,8 +512,8 @@ class Mediator:
     def close(self) -> None:
         """Flush and close the storage backend.
 
-        The mediator stays usable for queries afterwards — the caches
-        simply stop mirroring (memory remains authoritative).  Idempotent:
+        The mediator stays usable for queries afterwards — memory is
+        authoritative, and nothing is snapshotted any more.  Idempotent:
         the flag flips under a lock before the flush, so concurrent or
         repeated ``close()`` calls flush exactly once.
         """
@@ -503,9 +524,8 @@ class Mediator:
         try:
             self._flush_storage()
         finally:
-            self.cim.cache.backend = None
-            self.dcsm.database.backend = None
-            self.storage.close()
+            if self.storage is not None:
+                self.storage.close()
 
     # -- runtime configuration -----------------------------------------------------
 

@@ -360,9 +360,9 @@ def load_plan_records(
     backend: "StorageBackend", store: str = "plancache"
 ) -> list[PersistedPlan]:
     """All decodable persisted plan records (undecodable ones are
-    deleted from the backend — a stale plan is dropped, not replayed)."""
+    skipped — the next save replaces the store without them)."""
     records: list[PersistedPlan] = []
-    for key, data in list(backend.scan_prefix(store, "")):
+    for __, data in backend.scan_prefix(store, ""):
         try:
             payload = pickle.loads(data)
             if payload.get("version") != PLAN_RECORD_VERSION:
@@ -377,7 +377,7 @@ def load_plan_records(
                 )
             )
         except Exception:
-            backend.delete(store, key)
+            continue
     return records
 
 

@@ -24,10 +24,11 @@ prefix is semantically identical:
   Under a byte budget the evictor scores entries by recompute cost x hit
   frequency per byte (``storage/evictor.py``).
 
-Persistence mirrors ``core/plancache.py``: entries mirror to a storage
-backend under the ``subplan`` namespace as versioned JSON (answer rows are
-plain mediator values, so no pickling is needed) and are adopted on warm
-restart only when the program fingerprint matches.
+Persistence follows ``core/plancache.py``: at flush the tier snapshots
+its entries into a storage backend under the ``subplan`` namespace as
+versioned JSON (answer rows are plain mediator values, so no pickling is
+needed), and they are adopted on warm restart only when the program
+fingerprint matches.
 """
 
 from __future__ import annotations
@@ -544,13 +545,14 @@ def load_subplan_records(
 ) -> list[PersistedSubplan]:
     """Stage persisted entries for adoption (they are NOT live until the
     program is loaded and its fingerprint matches).  Undecodable records
-    are deleted so one bad write cannot wedge every restart."""
+    are skipped, so one bad write cannot wedge every restart; the next
+    save replaces the store without them."""
     records: list[PersistedSubplan] = []
-    for key, data in list(backend.scan_prefix(store, "")):
+    for __, data in backend.scan_prefix(store, ""):
         try:
             records.append(_decode_record(data))
         except StorageError:
-            backend.delete(store, key)
+            continue
     return records
 
 

@@ -14,13 +14,10 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import Iterable, Optional
 
 from repro.dcsm.patterns import CallPattern
 from repro.dcsm.vectors import CostVector, Observation
-
-if TYPE_CHECKING:
-    from repro.storage.backend import StorageBackend
 
 
 @dataclass(frozen=True, slots=True)
@@ -32,27 +29,12 @@ class AggregationTrace:
 
 
 class CostVectorDatabase:
-    """Append-only store of observations, bucketed per source function.
-
-    With a :class:`~repro.storage.backend.StorageBackend` attached, every
-    recorded observation also writes through to the backend's ``"dcsm"``
-    store (and trimmed observations are deleted from it), so a later
-    session can warm-restart the statistics cache via
-    :meth:`load_from_backend`.  Estimates never read the backend — the
-    in-memory buckets stay authoritative.
-    """
+    """Append-only store of observations, bucketed per source function."""
 
     def __init__(self, max_observations_per_function: Optional[int] = None):
         self._buckets: dict[tuple[str, str], list[Observation]] = {}
         self.max_observations_per_function = max_observations_per_function
         self.total_recorded = 0
-        # storage mirroring: per-bucket backend keys parallel the bucket
-        # lists, and a per-bucket sequence number keeps keys unique
-        self.backend: Optional[StorageBackend] = None
-        self.store = "dcsm"
-        self._backend_keys: dict[tuple[str, str], list[str]] = {}
-        self._seq: dict[tuple[str, str], int] = {}
-        self._mirror = True
         # concurrent runtime workers record into shared buckets
         self._lock = threading.Lock()
 
@@ -64,105 +46,17 @@ class CostVectorDatabase:
             bucket = self._buckets.setdefault(key, [])
             bucket.append(observation)
             self.total_recorded += 1
-            self._backend_append(key, observation)
             limit = self.max_observations_per_function
             if limit is not None and len(bucket) > limit:
-                trim = len(bucket) - limit
-                del bucket[:trim]  # keep the most recent
-                self._backend_trim(key, trim)
+                del bucket[: len(bucket) - limit]  # keep the most recent
 
     def observations(self, domain: str, function: str) -> tuple[Observation, ...]:
         with self._lock:
             return tuple(self._buckets.get((domain, function), ()))
 
-    # -- storage backend (persistence) -------------------------------------
-
-    def attach_backend(self, backend: "StorageBackend", store: str = "dcsm") -> None:
-        """Start mirroring recorded observations into ``backend``.
-
-        Per-bucket sequence numbers resume *after* the highest key the
-        backend already holds: a cold session (no
-        :meth:`load_from_backend`) writing against a non-empty store
-        must append to the previous session's records, not overwrite
-        them from zero — overwriting would leave an interleaved mix of
-        stale and fresh observations for the next warm start to load.
-        """
-        with self._lock:
-            self.backend = backend
-            self.store = store
-            for key, __ in backend.scan_prefix(store, ""):
-                head, _, seq_text = key.rpartition(":")
-                domain, _, function = head.rpartition(":")
-                if not domain or not seq_text.isdigit():
-                    continue
-                bucket_key = (domain, function)
-                self._seq[bucket_key] = max(
-                    self._seq.get(bucket_key, 0), int(seq_text) + 1
-                )
-
-    def load_from_backend(self) -> int:
-        """Warm restart: replay every persisted observation into the
-        in-memory buckets (per-function caps apply).  Undecodable records
-        are dropped from the backend.  Returns the count restored."""
-        if self.backend is None:
-            from repro.errors import StorageError
-
-            raise StorageError("no storage backend attached")
-        from repro.dcsm.codec import decode_observation
-
-        records = list(self.backend.scan_prefix(self.store, ""))
-        count = 0
-        with self._lock:
-            self._mirror = False
-            try:
-                for key, data in records:
-                    try:
-                        observation = decode_observation(data)
-                    except Exception:
-                        self.backend.delete(self.store, key)
-                        continue
-                    bucket_key = (observation.domain, observation.function)
-                    bucket = self._buckets.setdefault(bucket_key, [])
-                    bucket.append(observation)
-                    self._backend_keys.setdefault(bucket_key, []).append(key)
-                    seq = int(key.rsplit(":", 1)[-1]) if key[-1].isdigit() else 0
-                    self._seq[bucket_key] = max(
-                        self._seq.get(bucket_key, 0), seq + 1
-                    )
-                    self.total_recorded += 1
-                    count += 1
-                    limit = self.max_observations_per_function
-                    if limit is not None and len(bucket) > limit:
-                        trim = len(bucket) - limit
-                        del bucket[:trim]
-                        self._backend_trim(bucket_key, trim)
-            finally:
-                self._mirror = True
-        return count
-
-    def _backend_append(self, key: tuple[str, str], observation: Observation) -> None:
-        if self.backend is None or not self._mirror:
-            return
-        from repro.dcsm.codec import encode_observation, observation_key
-
-        seq = self._seq.get(key, 0)
-        self._seq[key] = seq + 1
-        backend_key = observation_key(key[0], key[1], seq)
-        self._backend_keys.setdefault(key, []).append(backend_key)
-        self.backend.put(self.store, backend_key, encode_observation(observation))
-
-    def _backend_trim(self, key: tuple[str, str], trim: int) -> None:
-        if self.backend is None:
-            return
-        keys = self._backend_keys.get(key)
-        if not keys:
-            return
-        for backend_key in keys[:trim]:
-            self.backend.delete(self.store, backend_key)
-        del keys[:trim]
-
     def functions(self) -> tuple[tuple[str, str], ...]:
-        return tuple(sorted(self._buckets))
+        with self._lock:
+            return tuple(sorted(self._buckets))
 
     def __len__(self) -> int:
         return sum(len(bucket) for bucket in self._buckets.values())

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from repro.core.model import GroundCall, Program
 from repro.dcsm.database import CostVectorDatabase
@@ -36,9 +36,6 @@ from repro.domains.base import CallResult
 from repro.errors import EstimationError
 from repro.metrics import MetricsRegistry
 from repro.net.clock import SimClock
-
-if TYPE_CHECKING:
-    from repro.storage.backend import StorageBackend
 
 MODE_RAW = "raw"
 MODE_LOSSLESS = "lossless"
@@ -126,27 +123,20 @@ class DCSM:
             self._summaries_stale = True
         return observation
 
-    # -- storage backend (persistence) ------------------------------------------
-
-    def attach_backend(self, backend: "StorageBackend", store: str = "dcsm") -> None:
-        """Mirror every recorded observation into ``backend`` (see
-        :mod:`repro.storage`); estimates keep reading memory only."""
-        self.database.attach_backend(backend, store=store)
-
-    def load_from_backend(self) -> int:
-        """Warm restart: replay persisted observations and re-register
-        their source functions so summary tables rebuild over them.
-        Returns the number of observations restored."""
-        count = self.database.load_from_backend()
+    def restore(self, observations: Iterable[Observation]) -> int:
+        """Warm restart: append a previous session's observations (the
+        per-function caps apply) and register their source functions so
+        summary tables rebuild over them.  Returns the number restored."""
+        count = 0
         with self._lock:
-            for domain, function in self.database.functions():
-                key = (domain, function)
+            for observation in observations:
+                self.database.record(observation)
+                key = (observation.domain, observation.function)
                 if key not in self._functions:
-                    observations = self.database.observations(domain, function)
-                    if observations:
-                        self._functions[key] = _FunctionInfo(
-                            arity=observations[0].call.arity
-                        )
+                    self._functions[key] = _FunctionInfo(
+                        arity=observation.call.arity
+                    )
+                count += 1
             self._summaries_stale = True
         return count
 

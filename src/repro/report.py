@@ -105,11 +105,16 @@ def runtime_data(mediator: "Mediator") -> dict[str, Any]:
     }
 
 
+def storage_kind(mediator: "Mediator") -> str:
+    """The backend kind, or ``"none"`` for a mediator without one."""
+    return mediator.storage.kind if mediator.storage is not None else "none"
+
+
 def storage_data(mediator: "Mediator") -> dict[str, Any]:
     """Backend kind and traffic, including what warm start reloaded."""
     metrics = mediator.metrics
     return {
-        "kind": mediator.storage.kind,
+        "kind": storage_kind(mediator),
         "closed": mediator.closed,
         "writes": metrics.value("storage.writes"),
         "reads": metrics.value("storage.reads"),

@@ -54,6 +54,8 @@ class ServingClient:
         self.tenant = tenant
         self.timeout_s = timeout_s
         self._sock = socket.create_connection((host, port), timeout=timeout_s)
+        # requests are small single writes; don't let Nagle hold them back
+        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._write_lock = threading.Lock()
         self._pending_lock = threading.Lock()
         self._pending: dict[str, _PendingResponse] = {}

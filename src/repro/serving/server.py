@@ -406,6 +406,9 @@ class MediatorServer:
                 sock, _addr = self._listener.accept()
             except OSError:
                 return  # listener closed during drain
+            # responses are small single writes: without TCP_NODELAY a
+            # reply waits on Nagle's algorithm for the client's next ACK
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             connection = _Connection(sock=sock)
             with self._connections_lock:
                 self._connections.append(connection)

@@ -1,10 +1,10 @@
 """Pluggable persistent storage backends for the mediator's caches.
 
 See :mod:`repro.storage.backend` for the protocol and
-``docs/STORAGE.md`` for the architecture: hot state stays in process
-memory; the CIM result cache, the DCSM cost-vector database, and the
-plan cache mirror durable state through one namespaced key/value
-backend, enabling warm restart and (with the sharded backend) future
+``docs/STORAGE.md`` for the architecture: memory is authoritative, and
+each cache tier (CIM result cache, DCSM cost-vector database, plan
+cache, subplan tier) snapshots into one namespaced key/value backend at
+flush, enabling warm restart and (with the sharded backend) future
 cross-process sharing.
 """
 

@@ -1,13 +1,15 @@
 """The pluggable storage backend behind the mediator's caches.
 
-The CIM result cache, the DCSM cost-vector database, and the plan cache
-all keep their *hot* state in process memory (the lookup structures the
-paper's latency model depends on), and mirror durable state through a
-:class:`StorageBackend`.  A backend is a namespaced key/value store:
-every operation names a *store* — ``"cim"``, ``"dcsm"``, or
-``"plancache"`` — so one backend file can hold all three subsystems
-without key collisions, and a future multi-process deployment can share
-one on-disk artifact.
+The CIM result cache, the DCSM cost-vector database, the plan cache and
+the subplan tier all keep their state in process memory (the lookup
+structures the paper's latency model depends on); memory is
+authoritative.  At :meth:`~repro.core.mediator.Mediator.flush_storage`
+each tier replaces its own store in a :class:`StorageBackend` with a
+snapshot, and warm start reads the snapshots back.  A backend is a
+namespaced key/value store: every operation names a *store* —
+``"cim"``, ``"dcsm"``, ``"plancache"`` or ``"subplan"`` — so one
+backend file can hold every tier without key collisions, and a future
+multi-process deployment can share one on-disk artifact.
 
 Keys are strings.  By convention cache keys lead with
 ``"domain:function:"`` so that :class:`~repro.storage.sharded.ShardedBackend`
@@ -18,8 +20,8 @@ templates).
 
 Three implementations ship:
 
-* :class:`~repro.storage.memory.MemoryBackend` — a dict; the default.
-  State dies with the process (the pre-storage behavior).
+* :class:`~repro.storage.memory.MemoryBackend` — a dict; state dies
+  with the process.
 * :class:`~repro.storage.sqlite.SqliteBackend` — one SQLite file in WAL
   mode: crash-consistent commits, safe for concurrent readers plus one
   writer process.
@@ -52,8 +54,8 @@ META_KEY = "__meta__"
 class StorageBackend(Protocol):
     """What a cache storage backend must provide.
 
-    All methods must be safe to call from multiple threads — the
-    parallel runtime's workers write through shared caches concurrently.
+    All methods must be safe to call from multiple threads — a served
+    mediator may flush while another thread reads.
     """
 
     #: short machine-readable backend name ("memory", "sqlite", "sharded")
@@ -78,6 +80,11 @@ class StorageBackend(Protocol):
 
     def flush(self) -> None:
         """Make every accepted write durable (crash-consistently)."""
+        ...
+
+    def rollback(self) -> None:
+        """Drop every write since the last flush, so a snapshot that
+        failed partway never becomes durable."""
         ...
 
     def close(self) -> None:
@@ -157,7 +164,7 @@ def make_backend(
 
     Accepted forms::
 
-        memory                  in-process dict (the default)
+        memory                  in-process dict
         sqlite:PATH             one SQLite file at PATH (WAL mode)
         sharded:DIR             segment files under DIR (default shards)
         sharded:DIR:N           segment files under DIR, N shards

@@ -1,9 +1,10 @@
-"""The in-process dict backend — the default, and the old behavior.
+"""The in-process dict backend.
 
-Nothing survives the process: ``flush`` is a no-op and ``close`` drops
-the table.  It exists so the rest of the system has exactly one write
-path (every cache mirrors through *a* backend) and so the backend matrix
-can run the whole test suite against the trivial implementation.
+Nothing survives the process: ``flush`` only records the state
+``rollback`` returns to, and ``close`` drops the table.  It exists so
+the backend matrix can run the whole test suite against the trivial
+implementation, and so tests can inspect what a flush wrote without
+touching disk.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ class MemoryBackend(BackendBase):
     def __init__(self, metrics: Optional[MetricsRegistry] = None):
         super().__init__(metrics)
         self._stores: dict[str, dict[str, bytes]] = {}
+        # the state as of the last flush, which rollback returns to
+        self._flushed: dict[str, dict[str, bytes]] = {}
         self._lock = threading.Lock()
         self._closed = False
 
@@ -60,11 +63,20 @@ class MemoryBackend(BackendBase):
         yield from sorted(snapshot)
 
     def flush(self) -> None:
+        with self._lock:
+            self._check_open()
+            self._flushed = {store: dict(rows) for store, rows in self._stores.items()}
         self._inc("storage.flushes")
+
+    def rollback(self) -> None:
+        with self._lock:
+            self._check_open()
+            self._stores = {store: dict(rows) for store, rows in self._flushed.items()}
 
     def close(self) -> None:
         with self._lock:
             self._stores.clear()
+            self._flushed.clear()
             self._closed = True
 
     def _check_open(self) -> None:

@@ -105,6 +105,15 @@ class ShardedBackend(BackendBase):
             self._flush_locked()
         self._inc("storage.flushes")
 
+    def rollback(self) -> None:
+        """Re-read every dirty segment from its file."""
+        with self._lock:
+            self._check_open()
+            for index in range(self.shards):
+                if self._dirty[index]:
+                    self._segments[index] = self._read_segment(index)
+                    self._dirty[index] = False
+
     def close(self) -> None:
         with self._lock:
             if self._closed:
@@ -149,9 +158,13 @@ class ShardedBackend(BackendBase):
 
     def _load_segments(self) -> None:
         for index in range(self.shards):
-            path = self._segment_path(index)
-            if path.exists():
-                self._segments[index] = _decode_segment(path.read_bytes())
+            self._segments[index] = self._read_segment(index)
+
+    def _read_segment(self, index: int) -> dict[str, dict[str, bytes]]:
+        path = self._segment_path(index)
+        if not path.exists():
+            return {}
+        return _decode_segment(path.read_bytes())
 
 
 def _encode_segment(segment: dict[str, dict[str, bytes]]) -> bytes:

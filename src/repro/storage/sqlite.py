@@ -6,13 +6,14 @@ shape the roadmap's multi-process frontier needs — many concurrent
 readers plus one writer — and makes commits crash-consistent: a torn
 write can lose the *uncommitted* tail, never corrupt committed state
 (the journal plays the role the temp-file + ``os.replace`` discipline
-plays for the JSON snapshot paths; see
+plays for the sharded backend's segment files; see
 :func:`repro.storage.backend.atomic_write_bytes`).
 
-Writes batch inside an explicit transaction and commit every
-``commit_interval`` mutations; :meth:`flush` commits whatever is pending
-and checkpoints the WAL back into the main file, so a flushed database
-is fully self-contained (safe to copy while no writer is active).
+Writes between two flushes form one explicit transaction: :meth:`flush`
+commits it and checkpoints the WAL back into the main file, so a
+snapshot that rewrites a store (delete everything, put everything)
+lands whole or not at all, and a flushed database is fully
+self-contained (safe to copy while no writer is active).
 """
 
 from __future__ import annotations
@@ -50,29 +51,28 @@ class SqliteBackend(BackendBase):
     def __init__(
         self,
         path: Union[str, Path],
-        commit_interval: int = 256,
         metrics: Optional[MetricsRegistry] = None,
     ):
         super().__init__(metrics)
-        if commit_interval < 1:
-            raise StorageError("commit_interval must be at least 1")
         self.path = Path(path)
         if self.path.parent and not self.path.parent.exists():
             self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.commit_interval = commit_interval
         # one shared connection: SQLite serializes writers anyway, and a
-        # single connection lets batched writes see their own pending
+        # single connection lets pending writes see their own open
         # transaction.  The RLock makes the wrapper thread-safe.
         self._conn = sqlite3.connect(
             str(self.path), check_same_thread=False, timeout=30.0
         )
         self._conn.isolation_level = None  # explicit transaction control
-        self._conn.execute("PRAGMA journal_mode=WAL")
-        self._conn.execute("PRAGMA synchronous=NORMAL")
-        self._conn.execute(_SCHEMA)
-        self._conn.commit()
+        try:
+            self._conn.execute("PRAGMA journal_mode=WAL")
+            self._conn.execute("PRAGMA synchronous=NORMAL")
+            self._conn.execute(_SCHEMA)
+            self._conn.commit()
+        except sqlite3.Error:
+            self._conn.close()  # e.g. the file is not a database
+            raise
         self._lock = threading.RLock()
-        self._pending = 0
         self._closed = False
 
     # -- protocol -----------------------------------------------------------
@@ -95,7 +95,6 @@ class SqliteBackend(BackendBase):
                 "INSERT OR REPLACE INTO kv (store, key, value) VALUES (?, ?, ?)",
                 (store, key, bytes(value)),
             )
-            self._mutated()
         self._note_write(value)
 
     def delete(self, store: str, key: str) -> bool:
@@ -105,7 +104,6 @@ class SqliteBackend(BackendBase):
             cursor = self._conn.execute(
                 "DELETE FROM kv WHERE store = ? AND key = ?", (store, key)
             )
-            self._mutated()
             existed = cursor.rowcount > 0
         if existed:
             self._inc("storage.deletes")
@@ -124,16 +122,22 @@ class SqliteBackend(BackendBase):
             yield key, bytes(value)
 
     def flush(self) -> None:
-        """Commit pending writes and checkpoint the WAL (crash-safe:
-        SQLite's journal makes the commit atomic — readers see the old
-        committed state or the new one, never a torn mix)."""
+        """Commit every write since the last flush as one transaction and
+        checkpoint the WAL (crash-safe: SQLite's journal makes the commit
+        atomic — readers see the old committed state or the new one,
+        never a torn mix)."""
         with self._lock:
             self._check_open()
             if self._conn.in_transaction:
                 self._conn.commit()
-            self._pending = 0
             self._conn.execute("PRAGMA wal_checkpoint(TRUNCATE)")
         self._inc("storage.flushes")
+
+    def rollback(self) -> None:
+        with self._lock:
+            self._check_open()
+            if self._conn.in_transaction:
+                self._conn.rollback()
 
     def close(self) -> None:
         with self._lock:
@@ -152,9 +156,3 @@ class SqliteBackend(BackendBase):
     def _begin(self) -> None:
         if not self._conn.in_transaction:
             self._conn.execute("BEGIN")
-
-    def _mutated(self) -> None:
-        self._pending += 1
-        if self._pending >= self.commit_interval:
-            self._conn.commit()
-            self._pending = 0

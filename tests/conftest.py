@@ -5,8 +5,10 @@ backend matrix exports ``REPRO_STORAGE=memory|sqlite|sharded`` and every
 :class:`Mediator` built without an explicit ``storage=`` picks it up
 (path-less specs expand to per-mediator files under
 ``$REPRO_STORAGE_PATH``, which the session fixture below points at a
-pytest-managed temp directory).  Memory stays the authoritative read
-path, so observable behavior must be identical across backends.
+pytest-managed temp directory).  Without the variable such a mediator
+has no backend.  Memory is authoritative and backends only receive
+snapshots at flush, so observable behavior must be identical across
+backends.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 """Tests for EXPLAIN and the interactive shell."""
 
 import io
+import sqlite3
 
 import pytest
 
@@ -113,6 +114,27 @@ class TestShellCommands:
         shell.handle(f":load-stats {path}")
         out = output_of(shell)
         assert "saved" in out and "loaded" in out
+
+    def test_load_stats_leaves_an_unrelated_database_untouched(
+        self, shell, tmp_path
+    ):
+        path = tmp_path / "other.db"
+        conn = sqlite3.connect(str(path))
+        conn.execute("CREATE TABLE t (x INTEGER)")
+        conn.commit()
+        conn.close()
+        before = path.read_bytes()
+        shell.handle(f":load-stats {path}")
+        assert f"error: {path} is not a statistics file" in output_of(shell)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["other.db"]
+
+    def test_load_stats_refuses_a_json_file(self, shell, tmp_path):
+        path = tmp_path / "stats.json"
+        path.write_text('{"version": 1, "observations": []}')
+        shell.handle(f":load-stats {path}")
+        assert f"error: {path} is not a statistics file" in output_of(shell)
+        assert path.read_text() == '{"version": 1, "observations": []}'
 
     def test_domains_listing(self, shell):
         shell.handle(":domains")

@@ -4,8 +4,9 @@ over multi-source scenarios, the way a downstream user would drive them."""
 from repro.cim.manager import CimPolicy
 from repro.core.mediator import Mediator
 from repro.core.views import ViewManager
-from repro.dcsm.persistence import load_statistics, save_statistics
+from repro.dcsm.persistence import load_observations, save_observations
 from repro.domains.base import simple_domain
+from repro.storage import SqliteBackend
 from repro.workloads.datasets import (
     build_inventory_engine,
     build_logistics_terrain,
@@ -63,11 +64,14 @@ class TestLogisticsLifecycle:
     def test_statistics_survive_restart(self, tmp_path):
         first_session = self.make()
         first_session.query("?- routetosupplies(place1, ammo, To, Cost).")
-        path = tmp_path / "stats.json"
-        save_statistics(first_session.dcsm, path)
+        backend = SqliteBackend(tmp_path / "stats.db")
+        save_observations(first_session.dcsm, backend)
+        backend.close()
 
         second_session = self.make()
-        load_statistics(second_session.dcsm, path)
+        backend = SqliteBackend(tmp_path / "stats.db")
+        second_session.dcsm.restore(load_observations(backend))
+        backend.close()
         # the new session can price plans before running anything
         plans = second_session.plans(
             "?- routetosupplies(place1, ammo, To, Cost)."

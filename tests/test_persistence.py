@@ -1,16 +1,21 @@
-"""Persistence round-trip tests: serialization, DCSM statistics, CIM cache."""
+"""Persistence round-trip tests: serialization, and the DCSM and CIM
+tiers' snapshot/restore over a storage backend."""
 
 import json
 
 import pytest
 
 from repro.cim.cache import ResultCache
-from repro.cim.persistence import load_cache, save_cache
+from repro.cim.persistence import decode_entry, load_result_records, save_result_cache
 from repro.core.model import GroundCall
 from repro.core.terms import Row
 from repro.dcsm.module import DCSM
 from repro.dcsm.patterns import BOUND, CallPattern
-from repro.dcsm.persistence import load_statistics, save_statistics
+from repro.dcsm.persistence import (
+    decode_observation,
+    load_observations,
+    save_observations,
+)
 from repro.domains.base import CallResult
 from repro.errors import ReproError
 from repro.serialization import (
@@ -19,6 +24,7 @@ from repro.serialization import (
     encode_call,
     encode_value,
 )
+from repro.storage import MemoryBackend, SqliteBackend
 
 
 class TestValueCodec:
@@ -71,11 +77,14 @@ class TestDcsmPersistence:
 
     def test_round_trip_preserves_estimates(self, tmp_path):
         original = self.make_trained()
-        path = tmp_path / "stats.json"
-        assert save_statistics(original, path) == 3
+        backend = SqliteBackend(tmp_path / "stats.db")
+        assert save_observations(original, backend) == 3
+        backend.close()
 
         restored = DCSM()
-        assert load_statistics(restored, path) == 3
+        backend = SqliteBackend(tmp_path / "stats.db")
+        assert restored.restore(load_observations(backend)) == 3
+        backend.close()
         pattern = CallPattern("d1", "p_bf", ("a",))
         assert restored.cost(pattern).t_all_ms == pytest.approx(
             original.cost(pattern).t_all_ms
@@ -85,18 +94,16 @@ class TestDcsmPersistence:
             original.cost(pattern).cardinality
         )
 
-    def test_load_appends(self, tmp_path):
+    def test_load_appends(self):
         original = self.make_trained()
-        path = tmp_path / "stats.json"
-        save_statistics(original, path)
-        load_statistics(original, path)  # duplicate the log
+        backend = MemoryBackend()
+        save_observations(original, backend)
+        original.restore(load_observations(backend))  # duplicate the log
         assert original.observation_count() == 6
 
-    def test_version_check(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"version": 99, "observations": []}))
+    def test_version_check(self):
         with pytest.raises(ReproError):
-            load_statistics(DCSM(), path)
+            decode_observation(json.dumps({"version": 99}).encode())
 
 
 class TestCachePersistence:
@@ -107,49 +114,50 @@ class TestCachePersistence:
         cache.put(
             GroundCall("d", "partial", (1,)), ("x",), now_ms=20.0, complete=False
         )
-        path = tmp_path / "cache.json"
-        assert save_cache(cache, path) == 2
+        backend = SqliteBackend(tmp_path / "cache.db")
+        assert save_result_cache(cache, backend) == 2
+        backend.close()
 
         restored = ResultCache()
-        assert load_cache(restored, path) == 2
+        backend = SqliteBackend(tmp_path / "cache.db")
+        assert restored.restore(load_result_records(backend), now_ms=20.0) == 2
+        backend.close()
         entry = restored.get(call)
         assert entry.answers == ("brandon", "phillip")
         assert entry.stored_at_ms == 10.0
         partial = restored.peek(GroundCall("d", "partial", (1,)))
         assert not partial.complete
 
-    def test_load_respects_capacity(self, tmp_path):
+    def test_load_respects_capacity(self):
         cache = ResultCache()
         for i in range(10):
             cache.put(GroundCall("d", "f", (i,)), (i,))
-        path = tmp_path / "cache.json"
-        save_cache(cache, path)
+        backend = MemoryBackend()
+        save_result_cache(cache, backend)
         small = ResultCache(max_entries=3)
-        load_cache(small, path)
+        small.restore(load_result_records(backend))
         assert len(small) == 3
 
-    def test_ttl_expiry_after_load(self, tmp_path):
+    def test_ttl_expiry_after_load(self):
         cache = ResultCache()
         cache.put(GroundCall("d", "f", (1,)), (1,), now_ms=0.0)
-        path = tmp_path / "cache.json"
-        save_cache(cache, path)
+        backend = MemoryBackend()
+        save_result_cache(cache, backend)
         ttl_cache = ResultCache(ttl_ms=100)
-        load_cache(ttl_cache, path)
+        ttl_cache.restore(load_result_records(backend))
         assert ttl_cache.get(GroundCall("d", "f", (1,)), now_ms=500.0) is None
 
-    def test_version_check(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"version": 0, "entries": []}))
+    def test_version_check(self):
         with pytest.raises(ReproError):
-            load_cache(ResultCache(), path)
+            decode_entry(json.dumps({"version": 0}).encode())
 
-    def test_rows_survive(self, tmp_path):
+    def test_rows_survive(self):
         cache = ResultCache()
         row = Row([("first", 4), ("last", 47)])
         call = GroundCall("video", "object_to_frames", ("rope", "brandon"))
         cache.put(call, (row,))
-        path = tmp_path / "cache.json"
-        save_cache(cache, path)
+        backend = MemoryBackend()
+        save_result_cache(cache, backend)
         restored = ResultCache()
-        load_cache(restored, path)
+        restored.restore(load_result_records(backend))
         assert restored.get(call).answers[0].last == 47

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import os
+import socket
 import threading
 import time
 
@@ -315,6 +316,21 @@ def test_server_ping_stats_and_error_responses(served):
         bad = client.query("?- undefined_predicate(X).")
         assert bad["status"] == "error"
         assert bad["kind"] == "PlanningError"
+
+
+def test_both_ends_disable_nagle(served):
+    """Small request/response writes must not wait on Nagle's algorithm
+    for the peer's delayed ACK."""
+    server, _ = served
+    host, port = server.address
+    with ServingClient(host, port) as client:
+        assert client.ping()["pong"] is True
+        assert client._sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        with server._connections_lock:
+            accepted = [connection.sock for connection in server._connections]
+        assert accepted
+        for sock in accepted:
+            assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
 
 
 def test_server_concurrent_tenants_share_caches(m1_mediator):

@@ -17,7 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cim.cache import POLICY_COST, ResultCache
-from repro.cim.codec import call_key, decode_entry, encode_entry
+from repro.cim.persistence import (
+    call_key,
+    decode_entry,
+    encode_entry,
+    load_result_records,
+    save_result_cache,
+)
 from repro.core.mediator import Mediator, _default_storage_root
 from repro.core.model import GroundCall
 from repro.core.plancache import (
@@ -27,11 +33,13 @@ from repro.core.plancache import (
     save_plan_cache,
 )
 from repro.core.terms import value_bytes
-from repro.dcsm.codec import decode_observation, encode_observation, observation_key
-from repro.dcsm.database import CostVectorDatabase
+from repro.dcsm.persistence import decode_observation, encode_observation, observation_key
 from repro.dcsm.vectors import CostVector, Observation
-from repro.errors import StorageError
+from repro.domains.base import CallResult
+from repro.errors import ReproError, StorageError
 from repro.metrics import MetricsRegistry
+from repro.net.clock import SimClock
+from repro.report import storage_data
 from repro.storage import (
     CostFrequencyEvictor,
     MemoryBackend,
@@ -103,6 +111,20 @@ class TestBackendProtocol:
             "a:z:9",
             "b:y:2",
         ]
+
+    def test_rollback_returns_to_the_last_flush(self, backend):
+        backend.put("cim", "a:f:1", b"kept")
+        backend.put("cim", "a:f:2", b"kept")
+        backend.flush()
+        backend.delete("cim", "a:f:1")
+        backend.put("cim", "a:f:2", b"dropped")
+        backend.put("dcsm", "a:f:3", b"dropped")
+        backend.rollback()
+        assert list(backend.scan_prefix("cim", "")) == [
+            ("a:f:1", b"kept"),
+            ("a:f:2", b"kept"),
+        ]
+        assert list(backend.scan_prefix("dcsm", "")) == []
 
     def test_use_after_close_raises(self, backend):
         backend.put("cim", "k", b"v")
@@ -257,6 +279,100 @@ def test_backends_agree_with_model(ops, tmp_path_factory):
             backend.close()
 
 
+# -- warm start restores exactly what was flushed (property-based) -------------
+
+_TIER_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("put"), st.integers(0, 5), st.integers(0, 2), st.booleans()),
+        st.tuples(st.just("get"), st.integers(0, 5)),
+        st.tuples(st.just("invalidate"), st.integers(0, 5)),
+        st.tuples(st.just("invalidate_function"), st.sampled_from(["f", "g"])),
+        st.tuples(
+            st.just("record"), st.sampled_from(["f", "g"]), st.integers(0, 2), st.booleans()
+        ),
+    ),
+    min_size=8,
+    max_size=40,
+)
+
+
+def _tier_call(i: int) -> GroundCall:
+    return GroundCall("d", "fg"[i % 2], (i,))
+
+
+def _cim_state(mediator: Mediator, clamp_ms: float) -> dict:
+    return {
+        entry.call: (
+            entry.answers,
+            entry.complete,
+            entry.hits,
+            min(entry.stored_at_ms, clamp_ms),
+        )
+        for entry in mediator.cim.cache
+    }
+
+
+def _dcsm_state(mediator: Mediator) -> dict:
+    database = mediator.dcsm.database
+    return {key: database.observations(*key) for key in database.functions()}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["memory", "sqlite", "sharded"]),
+    ops=_TIER_OPS,
+    restart_ms=st.sampled_from([0.0, 10.0, 1000.0]),
+)
+def test_warm_start_restores_the_flushed_state(kind, ops, restart_ms, tmp_path_factory):
+    """After random CIM puts, hits, invalidations and capacity evictions
+    and DCSM records under a per-function cap, a warm-started mediator
+    holds exactly the state the first one flushed (stored timestamps
+    clamped to the new clock)."""
+    tmp = tmp_path_factory.mktemp("tiers")
+    spec = {
+        "memory": MemoryBackend(),
+        "sqlite": f"sqlite:{tmp / 'tiers.db'}",
+        "sharded": f"sharded:{tmp / 'tiers'}",
+    }[kind]
+    first = Mediator(storage=spec)
+    first.cim.cache.max_entries = 4
+    first.dcsm.database.max_observations_per_function = 3
+    cache = first.cim.cache
+    for op in ops:
+        first.clock.advance(1.0)
+        now = first.clock.now_ms
+        if op[0] == "put":
+            cache.put(
+                _tier_call(op[1]), tuple(range(op[2])), now_ms=now, complete=op[3]
+            )
+        elif op[0] == "get":
+            cache.get(_tier_call(op[1]), now_ms=now)
+        elif op[0] == "invalidate":
+            cache.invalidate(_tier_call(op[1]))
+        elif op[0] == "invalidate_function":
+            cache.invalidate_function("d", op[1])
+        else:
+            first.dcsm.record(
+                CallResult(
+                    call=GroundCall("d", op[1], (op[2],)),
+                    answers=("x",) * op[2],
+                    t_first_ms=1.0,
+                    t_all_ms=float(now),
+                    complete=op[3],
+                )
+            )
+    first.flush_storage()
+    expected_cim = _cim_state(first, restart_ms)
+    expected_dcsm = _dcsm_state(first)
+    if kind != "memory":  # closing the memory backend drops the table
+        first.close()
+
+    warm = Mediator(storage=spec, clock=SimClock(restart_ms), warm_start=True)
+    assert _cim_state(warm, float("inf")) == expected_cim
+    assert _dcsm_state(warm) == expected_dcsm
+    warm.close()
+
+
 # -- crash consistency ---------------------------------------------------------
 
 
@@ -303,6 +419,34 @@ def test_sqlite_survives_process_kill(tmp_path):
     reopened.close()
 
 
+def test_sqlite_snapshot_commits_whole_or_not_at_all(tmp_path):
+    """A flush that rewrites a store (delete every key, put every key)
+    is one transaction: a writer killed before flushing leaves the
+    previous snapshot intact, even past 256 pending mutations."""
+    db = tmp_path / "snapshot.db"
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = (
+        "import os, sys\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "from repro.storage.sqlite import SqliteBackend\n"
+        f"b = SqliteBackend({str(db)!r})\n"
+        "for i in range(300):\n"
+        "    b.put('cim', f'd:f:{i:03d}', b'first')\n"
+        "b.flush()\n"
+        "for i in range(300):\n"
+        "    b.delete('cim', f'd:f:{i:03d}')\n"
+        "    b.put('cim', f'd:f:{i:03d}', b'second')\n"
+        "os._exit(1)\n"  # crash before the snapshot's flush
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True)
+    assert proc.returncode == 1
+    reopened = SqliteBackend(db)
+    survivors = dict(reopened.scan_prefix("cim", ""))
+    assert len(survivors) == 300
+    assert all(value == b"first" for value in survivors.values())
+    reopened.close()
+
+
 def test_sharded_flush_is_atomic_per_segment(tmp_path, monkeypatch):
     backend = ShardedBackend(tmp_path, shards=2)
     backend.put("cim", "d:f:1", b"old")
@@ -326,7 +470,7 @@ def test_sharded_flush_is_atomic_per_segment(tmp_path, monkeypatch):
 
 
 def test_sqlite_backend_thread_hammer(tmp_path):
-    backend = SqliteBackend(tmp_path / "hammer.db", commit_interval=16)
+    backend = SqliteBackend(tmp_path / "hammer.db")
     errors: list[BaseException] = []
     threads = 16
     per_thread = 60
@@ -368,12 +512,12 @@ def test_sqlite_backend_thread_hammer(tmp_path):
 def test_cim_codec_round_trip():
     call = GroundCall("video", "frames_to_objects", ("rope", 4, 47))
     blob = encode_entry(call, ("brandon", "rupert"), True, 12.5, 3)
-    fields = decode_entry(blob)
-    assert fields["call"] == call
-    assert fields["answers"] == ("brandon", "rupert")
-    assert fields["complete"] is True
-    assert fields["stored_at_ms"] == 12.5
-    assert fields["hits"] == 3
+    record = decode_entry(blob)
+    assert record.call == call
+    assert record.answers == ("brandon", "rupert")
+    assert record.complete is True
+    assert record.stored_at_ms == 12.5
+    assert record.hits == 3
     assert call_key(call).startswith("video:frames_to_objects:")
     assert shard_prefix(call_key(call)) == "video:frames_to_objects"
 
@@ -397,14 +541,16 @@ def test_dcsm_codec_round_trip():
 
 def test_load_drops_undecodable_records(tmp_path):
     backend = MemoryBackend()
-    cache = ResultCache(backend=backend)
+    cache = ResultCache()
     call = GroundCall("d", "f", (1,))
     cache.put(call, ("x",), now_ms=1.0)
+    save_result_cache(cache, backend)
     backend.put("cim", "d:f:garbage", b"not json")
-    fresh = ResultCache(backend=backend)
-    assert fresh.load_from_backend() == 1
-    assert backend.get("cim", "d:f:garbage") is None  # dropped, not replayed
+    fresh = ResultCache()
+    assert fresh.restore(load_result_records(backend), now_ms=1.0) == 1
     assert fresh.peek(call) is not None
+    save_result_cache(fresh, backend)
+    assert backend.get("cim", "d:f:garbage") is None  # dropped, not replayed
 
 
 # -- cost-aware eviction -------------------------------------------------------
@@ -529,6 +675,23 @@ def test_warm_restart_drops_plans_for_changed_program(tmp_path):
     other.close()
 
 
+def test_default_mediator_has_no_backend(monkeypatch):
+    monkeypatch.delenv("REPRO_STORAGE", raising=False)
+    mediator = build_rope_testbed()
+    assert mediator.storage is None
+    mediator.query("?- actors(A).", use_cim=True)
+    mediator.query("?- actors(A).", use_cim=True)
+    mediator.flush_storage()
+    assert mediator.metrics.value("storage.writes") == 0
+    assert storage_data(mediator)["kind"] == "none"
+    mediator.close()
+    assert mediator.closed
+    with pytest.raises(ReproError):
+        mediator.flush_storage()
+    with pytest.raises(StorageError):
+        Mediator(warm_start=True)
+
+
 def test_env_variable_selects_backend(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_STORAGE", "sqlite")
     monkeypatch.setenv("REPRO_STORAGE_PATH", str(tmp_path))
@@ -615,54 +778,94 @@ def test_flush_never_persists_plans_predating_a_program_change(tmp_path):
     warm.close()
 
 
-def _obs(i: int) -> Observation:
-    return Observation(
-        call=GroundCall("d", "f", (i,)),
-        vector=CostVector(t_first_ms=1.0, t_all_ms=5.0, cardinality=1.0),
-        record_time_ms=float(i),
-        complete=True,
+def _record(mediator: Mediator, i: int) -> None:
+    mediator.dcsm.record(
+        CallResult(
+            call=GroundCall("d", "f", (i,)),
+            answers=("x",),
+            t_first_ms=1.0,
+            t_all_ms=5.0,
+        )
     )
+    mediator.cim.cache.put(GroundCall("d", "g", (i,)), (f"v{i}",))
 
 
-def test_cold_dcsm_session_appends_after_existing_records():
-    """A session mirroring into a non-empty store without a warm load
-    must continue the per-bucket sequence, not overwrite from zero —
-    otherwise a later warm start reads an interleaved mix of stale and
-    fresh observations."""
-    backend = MemoryBackend()
-    first = CostVectorDatabase()
-    first.attach_backend(backend)
+def _persisted(spec: str) -> tuple[list[int], list[int]]:
+    """The observation and cache-entry arguments a warm start reloads."""
+    mediator = Mediator(storage=spec, warm_start=True)
+    observed = [obs.call.args[0] for obs in mediator.dcsm.database.observations("d", "f")]
+    cached = sorted(entry.call.args[0] for entry in mediator.cim.cache)
+    mediator.close()
+    return observed, cached
+
+
+def test_cold_flush_replaces_the_store_warm_flush_extends_it(tmp_path):
+    """Every tier snapshots at flush: a session that did not warm-start
+    replaces what an earlier session stored, and a warm-started one
+    stores the old state plus its own."""
+    spec = f"sqlite:{tmp_path / 'replace.db'}"
+    first = Mediator(storage=spec)
     for i in range(3):
-        first.record(_obs(i))
-    assert len(list(backend.scan_prefix("dcsm", ""))) == 3
+        _record(first, i)
+    first.close()
+    assert _persisted(spec) == ([0, 1, 2], [0, 1, 2])
 
-    second = CostVectorDatabase()  # cold: no load_from_backend
-    second.attach_backend(backend)
-    second.record(_obs(99))
-    keys = [key for key, __ in backend.scan_prefix("dcsm", "")]
-    assert len(keys) == 4  # appended, nothing overwritten
-    assert keys[-1] == observation_key("d", "f", 3)
+    cold = Mediator(storage=spec)  # no warm start
+    _record(cold, 99)
+    cold.close()
+    assert _persisted(spec) == ([99], [99])
 
-    third = CostVectorDatabase()
-    third.attach_backend(backend)
-    assert third.load_from_backend() == 4
-    recorded = third.observations("d", "f")
-    assert [obs.call.args[0] for obs in recorded] == [0, 1, 2, 99]
+    warm = Mediator(storage=spec, warm_start=True)
+    _record(warm, 100)
+    warm.close()
+    assert _persisted(spec) == ([99, 100], [99, 100])
+
+
+@pytest.mark.parametrize("kind", ["sqlite", "sharded"])
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_failed_flush_keeps_the_previous_snapshot(kind, error, tmp_path, monkeypatch):
+    """A tier save that raises partway through close() — after the CIM
+    and DCSM stores were already rewritten — must leave the previous
+    snapshot on disk, not commit the half-written one."""
+    spec = (
+        f"sqlite:{tmp_path / 'partial.db'}"
+        if kind == "sqlite"
+        else f"sharded:{tmp_path / 'partial'}"
+    )
+    first = Mediator(storage=spec)
+    for i in range(3):
+        _record(first, i)
+    first.close()
+
+    second = Mediator(storage=spec, warm_start=True)
+    for i in range(3, 6):
+        _record(second, i)
+
+    def failing_save(*args, **kwargs):
+        raise error("plan cache save failed")
+
+    monkeypatch.setattr("repro.core.mediator.save_plan_cache", failing_save)
+    with pytest.raises(error):
+        second.close()
+    monkeypatch.undo()
+    assert _persisted(spec) == ([0, 1, 2], [0, 1, 2])
 
 
 def test_load_evictions_delete_backend_records():
     """Entries evicted while restoring into a smaller cache must leave
-    the backend too, or dead records are re-read and re-evicted on every
-    warm start forever."""
+    the backend at the next save, or dead records are re-read and
+    re-evicted on every warm start forever."""
     backend = MemoryBackend()
-    seeder = ResultCache(backend=backend)
+    seeder = ResultCache()
     for i in range(6):
         seeder.put(GroundCall("d", "f", (i,)), (f"v{i}",), now_ms=float(i))
+    assert save_result_cache(seeder, backend) == 6
     assert len(list(backend.scan_prefix("cim", ""))) == 6
 
-    small = ResultCache(max_entries=2, backend=backend)
-    assert small.load_from_backend() == 6
+    small = ResultCache(max_entries=2)
+    assert small.restore(load_result_records(backend)) == 6
     assert len(small) == 2
+    save_result_cache(small, backend)
     survivors = {key for key, __ in backend.scan_prefix("cim", "")}
     assert survivors == {call_key(entry.call) for entry in small}
 
@@ -672,12 +875,13 @@ def test_restored_entries_expire_under_the_new_clock():
     from late in the previous session must be clamped, or TTL expiry
     (now - stored_at >= ttl) never fires."""
     backend = MemoryBackend()
-    old = ResultCache(ttl_ms=100.0, backend=backend)
+    old = ResultCache(ttl_ms=100.0)
     call = GroundCall("d", "f", (1,))
     old.put(call, ("x",), now_ms=5000.0)  # late in the previous session
+    save_result_cache(old, backend)
 
-    fresh = ResultCache(ttl_ms=100.0, backend=backend)
-    assert fresh.load_from_backend(now_ms=0.0) == 1
+    fresh = ResultCache(ttl_ms=100.0)
+    assert fresh.restore(load_result_records(backend), now_ms=0.0) == 1
     assert fresh.get(call, now_ms=50.0) is not None  # young under the new clock
     assert fresh.get(call, now_ms=150.0) is None  # expired under the new clock
 
